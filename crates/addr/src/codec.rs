@@ -56,7 +56,6 @@
 
 use crate::prefix::mask;
 use crate::set::AddrSet;
-use crate::store::{AddrIntern, AddrStore};
 use crate::table::{AddrId, AddrTable};
 use crate::Prefix;
 use std::fmt;
@@ -371,47 +370,19 @@ impl<R: Read> Decoder<R> {
 
 // ---- raw-column codecs (composable inside a larger envelope) --------
 
-/// Write an interned store's raw address column. Ids are implicit in
-/// the order: entry `i` is the address behind `AddrId` `i`. Generic
-/// over the backend ([`AddrTable`] or the sharded store): the bytes
-/// depend only on the raw column, which the seam guarantees is
-/// identical across backends.
-pub fn write_table<W: Write, S: AddrStore>(enc: &mut Encoder<W>, t: &S) -> Result<(), CodecError> {
-    write_table_par(enc, t, 1)
-}
-
-/// [`write_table`] with the column's byte image produced on up to
-/// `threads` workers. Contiguous chunks are serialized to little-endian
-/// buffers concurrently, then fed through the encoder in chunk order —
-/// the checksum is a byte-stream fold, so the envelope is identical to
-/// the serial write for every thread count (`docs/SNAPSHOT_FORMAT.md`
-/// §6).
-pub fn write_table_par<W: Write, S: AddrStore>(
-    enc: &mut Encoder<W>,
-    t: &S,
-    threads: usize,
-) -> Result<(), CodecError> {
+/// Write an [`AddrTable`]'s raw address column. Ids are implicit in the
+/// order: entry `i` is the address behind `AddrId` `i`.
+pub fn write_table<W: Write>(enc: &mut Encoder<W>, t: &AddrTable) -> Result<(), CodecError> {
     enc.put_len(t.len())?;
-    for buf in crate::par::par_chunk_bytes(t.raw(), threads, encode_u128_chunk) {
-        enc.put_bytes(&buf)?;
+    for &v in t.raw() {
+        enc.put_u128(v)?;
     }
     Ok(())
 }
 
-/// Chunk serializer for a `u128` column (shared by the parallel table
-/// and table-suffix writers).
-fn encode_u128_chunk(chunk: &[u128], buf: &mut Vec<u8>) {
-    buf.reserve(chunk.len() * 16);
-    for &v in chunk {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
-}
-
-/// Read a store written by [`write_table`], rebuilding the probe
-/// index. Every id comes back exactly as issued before the save. The
-/// backend is the caller's choice (`read_table::<_, AddrTable>` and the
-/// sharded store rebuild identical ids from the same bytes).
-pub fn read_table<R: Read, T: AddrIntern>(dec: &mut Decoder<R>) -> Result<T, CodecError> {
+/// Read an [`AddrTable`] written by [`write_table`], rebuilding the
+/// probe index. Every id comes back exactly as issued before the save.
+pub fn read_table<R: Read>(dec: &mut Decoder<R>) -> Result<AddrTable, CodecError> {
     let n = dec.get_len()?;
     if n >= u32::MAX as usize {
         // The table's id space is u32 minus the index sentinel; a
@@ -419,7 +390,7 @@ pub fn read_table<R: Read, T: AddrIntern>(dec: &mut Decoder<R>) -> Result<T, Cod
         // than trip the interner's capacity assert mid-decode.
         return Err(CodecError::Corrupt("table length out of handle range"));
     }
-    let mut t = T::with_store_capacity(Decoder::<R>::reserve_hint(n));
+    let mut t = AddrTable::with_capacity(Decoder::<R>::reserve_hint(n));
     for _ in 0..n {
         let v = dec.get_u128()?;
         let (_, inserted) = t.intern_u128(v);
@@ -488,29 +459,17 @@ pub fn read_prefix<R: Read>(dec: &mut Decoder<R>) -> Result<Prefix, CodecError> 
 /// This is the append-only building block of the snapshot journal: ids
 /// are never reused or reordered, so "the table since the last record"
 /// is exactly a suffix of the address column.
-pub fn write_table_suffix<W: Write, S: AddrStore>(
+pub fn write_table_suffix<W: Write>(
     enc: &mut Encoder<W>,
-    t: &S,
+    t: &AddrTable,
     from: usize,
-) -> Result<(), CodecError> {
-    write_table_suffix_par(enc, t, from, 1)
-}
-
-/// [`write_table_suffix`] with the suffix bytes produced on up to
-/// `threads` workers (same chunk-and-concatenate scheme as
-/// [`write_table_par`]; byte-identical output for every thread count).
-pub fn write_table_suffix_par<W: Write, S: AddrStore>(
-    enc: &mut Encoder<W>,
-    t: &S,
-    from: usize,
-    threads: usize,
 ) -> Result<(), CodecError> {
     assert!(from <= t.len(), "suffix start beyond table length");
     enc.put_len(from)?;
     enc.put_len(t.len() - from)?;
     // check: allow(index, from <= t.len() asserted above; writer-side slice of trusted state, not untrusted input)
-    for buf in crate::par::par_chunk_bytes(&t.raw()[from..], threads, encode_u128_chunk) {
-        enc.put_bytes(&buf)?;
+    for &v in &t.raw()[from..] {
+        enc.put_u128(v)?;
     }
     Ok(())
 }
@@ -520,9 +479,9 @@ pub fn write_table_suffix_par<W: Write, S: AddrStore>(
 /// `t.len()` exactly — a delta replayed against the wrong parent state
 /// is corruption, not a best-effort merge — and every appended address
 /// must be new to the table.
-pub fn read_table_suffix<R: Read, T: AddrIntern>(
+pub fn read_table_suffix<R: Read>(
     dec: &mut Decoder<R>,
-    t: &mut T,
+    t: &mut AddrTable,
 ) -> Result<usize, CodecError> {
     let from = dec.get_len()?;
     if from != t.len() {
@@ -550,8 +509,7 @@ pub fn read_table_suffix<R: Read, T: AddrIntern>(
 /// The pipeline's journal frames carry their set-valued changes as
 /// bare id runs inline (see `docs/SNAPSHOT_FORMAT.md`); this pair is
 /// the library-level encoding for persisting a *standing* id set
-/// incrementally — e.g. a sharded backend journaling its own
-/// membership columns behind the `AddrTable` seam.
+/// incrementally.
 ///
 /// ```
 /// use expanse_addr::codec::{read_set_diff, write_set_diff, Decoder, Encoder};
@@ -594,8 +552,8 @@ pub fn read_set_diff<R: Read>(dec: &mut Decoder<R>, old: &AddrSet) -> Result<Add
 
 // ---- standalone envelopes -------------------------------------------
 
-/// Save one interned store in its own checksummed envelope.
-pub fn save_table<W: Write, S: AddrStore>(w: W, t: &S) -> Result<(), CodecError> {
+/// Save one [`AddrTable`] in its own checksummed envelope.
+pub fn save_table<W: Write>(w: W, t: &AddrTable) -> Result<(), CodecError> {
     let mut enc = Encoder::new(w, &TABLE_MAGIC, CODEC_VERSION)?;
     write_table(&mut enc, t)?;
     enc.finish()?;
@@ -605,7 +563,7 @@ pub fn save_table<W: Write, S: AddrStore>(w: W, t: &S) -> Result<(), CodecError>
 /// Load an [`AddrTable`] saved by [`save_table`].
 pub fn load_table<R: Read>(r: R) -> Result<AddrTable, CodecError> {
     let mut dec = Decoder::new(r, &TABLE_MAGIC, CODEC_VERSION)?;
-    let t = read_table::<_, AddrTable>(&mut dec)?;
+    let t = read_table(&mut dec)?;
     dec.finish()?;
     Ok(t)
 }

@@ -1,7 +1,7 @@
 //! Worker-thread sizing and deterministic fan-out primitives.
 //!
 //! Every multi-core stage in the workspace — the scan battery grid, the
-//! daily merge and responsiveness passes, snapshot encode, the serve
+//! daily day-pass sort, ledger joins and responsiveness pass, the serve
 //! worker pool, the bench drivers — sizes itself with
 //! [`worker_threads`]: `EXPANSE_THREADS` when set (the CI determinism
 //! lanes pin it to 1, 2, and 8), otherwise
@@ -101,42 +101,12 @@ where
 }
 
 /// Map a slice through `f` on up to `threads` workers, preserving input
-/// order. Each worker owns one contiguous chunk; results are
+/// order. Meant for *few, heavyweight* items (e.g. one merge-join per
+/// ledger row), where the per-item cost, not the item count, justifies
+/// the threads. Each worker owns one contiguous chunk; results are
 /// concatenated in chunk order, so the output equals the serial
 /// `items.iter().map(f).collect()` for any thread count — `f` must be a
 /// pure function of its input for that contract to hold.
-pub fn par_map<T, U, F>(items: &[T], threads: usize, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    let n = items.len();
-    let threads = threads.clamp(1, n.max(1));
-    if threads == 1 || n < PAR_MIN_ITEMS {
-        return items.iter().map(f).collect();
-    }
-    let chunk = n.div_ceil(threads);
-    let mut out: Vec<U> = Vec::with_capacity(n);
-    thread::scope(|s| {
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .map(|c| {
-                let f = &f;
-                s.spawn(move || c.iter().map(f).collect::<Vec<U>>())
-            })
-            .collect();
-        for h in handles {
-            out.extend(h.join().expect("par_map worker panicked"));
-        }
-    });
-    out
-}
-
-/// [`par_map`] without the small-input serial fallback: for *few,
-/// heavyweight* items (e.g. one merge-join per ledger row) where the
-/// per-item cost, not the item count, justifies the threads. Same
-/// order-preserving contract as [`par_map`].
 pub fn par_map_coarse<T, U, F>(items: &[T], threads: usize, f: F) -> Vec<U>
 where
     T: Sync,
@@ -163,50 +133,6 @@ where
         }
     });
     out
-}
-
-/// Serialize a slice to bytes on up to `threads` workers: each worker
-/// encodes one contiguous chunk into its own buffer via `encode`, and
-/// the buffers come back in chunk order.
-///
-/// Feeding them to a checksummed
-/// [`Encoder`](crate::codec::Encoder::put_bytes) in order yields a byte
-/// stream identical to encoding the items serially — the FNV checksum
-/// is a byte-stream fold, so it cannot tell the chunked writes apart.
-/// `encode` must write each item's bytes independently of its
-/// neighbours (true for every fixed-width column in the snapshot
-/// format).
-pub fn par_chunk_bytes<T, F>(items: &[T], threads: usize, encode: F) -> Vec<Vec<u8>>
-where
-    T: Sync,
-    F: Fn(&[T], &mut Vec<u8>) + Sync,
-{
-    let n = items.len();
-    let threads = threads.clamp(1, n.max(1));
-    if threads == 1 || n < PAR_MIN_ITEMS {
-        let mut buf = Vec::new();
-        encode(items, &mut buf);
-        return vec![buf];
-    }
-    let chunk = n.div_ceil(threads);
-    let mut bufs: Vec<Vec<u8>> = Vec::with_capacity(threads);
-    thread::scope(|s| {
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .map(|c| {
-                let encode = &encode;
-                s.spawn(move || {
-                    let mut buf = Vec::new();
-                    encode(c, &mut buf);
-                    buf
-                })
-            })
-            .collect();
-        for h in handles {
-            bufs.push(h.join().expect("par_chunk_bytes worker panicked"));
-        }
-    });
-    bufs
 }
 
 #[cfg(test)]
@@ -239,32 +165,15 @@ mod tests {
     }
 
     #[test]
-    fn par_map_preserves_order() {
-        let items: Vec<u32> = (0..9_000).collect();
+    fn par_map_coarse_preserves_order() {
+        let items: Vec<u32> = (0..37).collect();
         let serial: Vec<u64> = items.iter().map(|&x| u64::from(x) * 3 + 1).collect();
-        for threads in [1, 2, 5, 16] {
+        for threads in [1, 2, 5, 64] {
             assert_eq!(
-                par_map(&items, threads, |&x| u64::from(x) * 3 + 1),
+                par_map_coarse(&items, threads, |&x| u64::from(x) * 3 + 1),
                 serial,
                 "threads={threads}"
             );
-        }
-    }
-
-    #[test]
-    fn par_chunk_bytes_concatenation_is_serial_encoding() {
-        let items: Vec<u128> = (0..8_192u128).map(|i| i * 31 + 7).collect();
-        let mut serial = Vec::new();
-        for &v in &items {
-            serial.extend_from_slice(&v.to_le_bytes());
-        }
-        for threads in [1, 2, 7, 13] {
-            let bufs = par_chunk_bytes(&items, threads, |chunk, buf| {
-                for &v in chunk {
-                    buf.extend_from_slice(&v.to_le_bytes());
-                }
-            });
-            assert_eq!(bufs.concat(), serial, "threads={threads}");
         }
     }
 }

@@ -8,9 +8,7 @@
 //! # Representation
 //!
 //! The hitlist is a struct-of-arrays over an interned address store:
-//! one [`ShardedAddrTable`] assigns every unique address a dense
-//! [`AddrId`] (sharded probe index, single global column — ids are
-//! identical to the flat `AddrTable`'s, see `ARCHITECTURE.md`),
+//! one [`AddrTable`] assigns every unique address a dense [`AddrId`],
 //! and provenance/responsiveness live in parallel columns indexed by
 //! that id (instead of the seed's three `HashMap<u128, …>` plus a
 //! shadow `order: Vec<Ipv6Addr>`). Ids are stable for the lifetime of
@@ -19,8 +17,7 @@
 //! days, and every daily pass is a sequential column walk.
 
 use expanse_addr::codec::{self, CodecError, Decoder, Encoder};
-use expanse_addr::par::par_chunk_bytes;
-use expanse_addr::{AddrId, AddrSet, Prefix, ShardedAddrTable};
+use expanse_addr::{AddrId, AddrSet, AddrTable, Prefix};
 use expanse_model::SourceId;
 use expanse_packet::ProtoSet;
 use std::collections::{BTreeMap, BTreeSet};
@@ -66,7 +63,7 @@ const NEVER: u16 = u16::MAX;
 #[derive(Debug, Clone, Copy)]
 pub struct HitlistColumns<'a> {
     /// The interner (id ↔ address).
-    pub table: &'a ShardedAddrTable,
+    pub table: &'a AddrTable,
     /// Source bitmask per row.
     pub sources: &'a [SourceMask],
     /// First contributing source per row.
@@ -152,7 +149,7 @@ fn read_spent<R: Read>(dec: &mut Decoder<R>) -> Result<BTreeMap<Prefix, u64>, Co
 #[derive(Debug, Clone, Default)]
 pub struct Hitlist {
     /// The interner: id ↔ address.
-    table: ShardedAddrTable,
+    table: AddrTable,
     /// Id → sources that contributed the address.
     sources: Vec<SourceMask>,
     /// Id → first source that contributed it (for "new IPs").
@@ -280,7 +277,7 @@ impl Hitlist {
 
     /// The backing interner. Ids issued by it are valid for the
     /// hitlist's lifetime (expired rows keep their id, tombstoned).
-    pub fn table(&self) -> &ShardedAddrTable {
+    pub fn table(&self) -> &AddrTable {
         &self.table
     }
 
@@ -585,16 +582,14 @@ impl Hitlist {
     }
 
     /// One row's mutable columns, shared by the appended and rewritten
-    /// sections of a delta record. Writes straight bytes (mirroring the
-    /// encoder's little-endian primitives) so row chunks can be encoded
-    /// on workers and fed to the checksummed encoder in order.
-    fn encode_row_bytes(&self, i: usize, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(&self.sources[i].0.to_le_bytes());
-        buf.push(self.first_source[i] as u8);
-        buf.extend_from_slice(&self.last_responsive[i].to_le_bytes());
-        buf.push(self.protos[i].0);
-        buf.extend_from_slice(&self.added_day[i].to_le_bytes());
-        buf.push(u8::from(self.alive[i]));
+    /// sections of a delta record.
+    fn encode_row<W: Write>(&self, enc: &mut Encoder<W>, i: usize) -> Result<(), CodecError> {
+        enc.put_u16(self.sources[i].0)?;
+        put_source(enc, self.first_source[i])?;
+        enc.put_u16(self.last_responsive[i])?;
+        enc.put_u8(self.protos[i].0)?;
+        enc.put_u16(self.added_day[i])?;
+        enc.put_bool(self.alive[i])
     }
 
     /// Decode one row's mutable columns written by
@@ -633,46 +628,20 @@ impl Hitlist {
     /// Ids never move, so this is the complete difference between the
     /// sync-point state and now.
     pub fn encode_delta<W: Write>(&self, enc: &mut Encoder<W>) -> Result<(), CodecError> {
-        self.encode_delta_par(enc, 1)
-    }
-
-    /// [`Hitlist::encode_delta`] with the record's sections produced on
-    /// up to `threads` workers. Contiguous row chunks are serialized to
-    /// buffers concurrently and fed through the (checksummed) encoder in
-    /// chunk order, so the journal bytes are identical to the serial
-    /// encode for every thread count.
-    pub fn encode_delta_par<W: Write>(
-        &self,
-        enc: &mut Encoder<W>,
-        threads: usize,
-    ) -> Result<(), CodecError> {
-        codec::write_table_suffix_par(enc, &self.table, self.synced_rows, threads)?;
-        let appended: Vec<usize> = (self.synced_rows..self.table.len()).collect();
-        for buf in par_chunk_bytes(&appended, threads, |c, buf| {
-            for &i in c {
-                self.encode_row_bytes(i, buf);
-            }
-        }) {
-            enc.put_bytes(&buf)?;
+        codec::write_table_suffix(enc, &self.table, self.synced_rows)?;
+        for i in self.synced_rows..self.table.len() {
+            self.encode_row(enc, i)?;
         }
         let rewritten = self.dirty_run(needs_rewrite);
         codec::write_set(enc, &rewritten)?;
-        for buf in par_chunk_bytes(rewritten.as_slice(), threads, |c, buf| {
-            for id in c {
-                self.encode_row_bytes(id.index(), buf);
-            }
-        }) {
-            enc.put_bytes(&buf)?;
+        for id in rewritten.iter() {
+            self.encode_row(enc, id.index())?;
         }
         let last_writes = self.dirty_run(needs_last_write);
         codec::write_set(enc, &last_writes)?;
-        for buf in par_chunk_bytes(last_writes.as_slice(), threads, |c, buf| {
-            for id in c {
-                buf.extend_from_slice(&self.last_responsive[id.index()].to_le_bytes());
-                buf.push(self.protos[id.index()].0);
-            }
-        }) {
-            enc.put_bytes(&buf)?;
+        for id in last_writes.iter() {
+            enc.put_u16(self.last_responsive[id.index()])?;
+            enc.put_u8(self.protos[id.index()].0)?;
         }
         codec::write_set(enc, &self.dirty_run(needs_tombstone))?;
         write_spent(
@@ -755,61 +724,24 @@ impl Hitlist {
     /// provenance/responsiveness column and the expiry tombstones —
     /// into an open snapshot envelope.
     pub fn encode<W: Write>(&self, enc: &mut Encoder<W>) -> Result<(), CodecError> {
-        self.encode_par(enc, 1)
-    }
-
-    /// [`Hitlist::encode`] with the interner column and every
-    /// per-row column serialized on up to `threads` workers. Chunk
-    /// buffers are fed through the checksummed encoder in order, so the
-    /// snapshot bytes are identical to the serial encode for every
-    /// thread count (`docs/SNAPSHOT_FORMAT.md` §6).
-    pub fn encode_par<W: Write>(
-        &self,
-        enc: &mut Encoder<W>,
-        threads: usize,
-    ) -> Result<(), CodecError> {
-        codec::write_table_par(enc, &self.table, threads)?;
-        for buf in par_chunk_bytes(&self.sources, threads, |c, buf| {
-            for m in c {
-                buf.extend_from_slice(&m.0.to_le_bytes());
-            }
-        }) {
-            enc.put_bytes(&buf)?;
+        codec::write_table(enc, &self.table)?;
+        for m in &self.sources {
+            enc.put_u16(m.0)?;
         }
-        for buf in par_chunk_bytes(&self.first_source, threads, |c, buf| {
-            for &s in c {
-                buf.push(s as u8);
-            }
-        }) {
-            enc.put_bytes(&buf)?;
+        for &s in &self.first_source {
+            put_source(enc, s)?;
         }
-        for buf in par_chunk_bytes(&self.last_responsive, threads, |c, buf| {
-            for d in c {
-                buf.extend_from_slice(&d.to_le_bytes());
-            }
-        }) {
-            enc.put_bytes(&buf)?;
+        for &d in &self.last_responsive {
+            enc.put_u16(d)?;
         }
-        for buf in par_chunk_bytes(&self.protos, threads, |c, buf| {
-            for p in c {
-                buf.push(p.0);
-            }
-        }) {
-            enc.put_bytes(&buf)?;
+        for &p in &self.protos {
+            enc.put_u8(p.0)?;
         }
-        for buf in par_chunk_bytes(&self.added_day, threads, |c, buf| {
-            for d in c {
-                buf.extend_from_slice(&d.to_le_bytes());
-            }
-        }) {
-            enc.put_bytes(&buf)?;
+        for &d in &self.added_day {
+            enc.put_u16(d)?;
         }
-        for buf in par_chunk_bytes(&self.alive, threads, |c, buf| {
-            for &a in c {
-                buf.push(u8::from(a));
-            }
-        }) {
-            enc.put_bytes(&buf)?;
+        for &a in &self.alive {
+            enc.put_bool(a)?;
         }
         write_spent(enc, self.probes_spent.iter().map(|(p, &n)| (*p, n)))?;
         Ok(())
@@ -819,7 +751,7 @@ impl Hitlist {
     /// exactly as issued before the save (tombstoned rows included), so
     /// id-keyed state in the ledger and pipeline stays valid.
     pub fn decode<R: Read>(dec: &mut Decoder<R>) -> Result<Hitlist, CodecError> {
-        let table = codec::read_table::<_, ShardedAddrTable>(dec)?;
+        let table = codec::read_table(dec)?;
         let n = table.len();
         let hint = Decoder::<R>::reserve_hint(n);
         let mut sources = Vec::with_capacity(hint);

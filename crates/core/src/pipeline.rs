@@ -569,8 +569,7 @@ impl Pipeline {
         for &p in &self.hot_prefixes {
             codec::write_prefix(&mut enc, p)?;
         }
-        self.hitlist
-            .encode_par(&mut enc, expanse_addr::worker_threads())?;
+        self.hitlist.encode(&mut enc)?;
         self.ledger.encode(&mut enc)?;
         self.apd.encode(&mut enc)?;
         self.sched.encode(&mut enc)?;
@@ -622,8 +621,7 @@ impl Pipeline {
                 codec::write_prefix(&mut enc, p)?;
             }
         }
-        self.hitlist
-            .encode_delta_par(&mut enc, expanse_addr::worker_threads())?;
+        self.hitlist.encode_delta(&mut enc)?;
         self.ledger.encode_delta(&mut enc)?;
         self.apd.encode_delta(&mut enc)?;
         self.sched.encode_delta(&mut enc)?;

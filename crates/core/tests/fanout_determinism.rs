@@ -1,9 +1,14 @@
 //! Determinism guard for the battery fan-out: a default-configured
 //! pipeline must produce byte-identical scan results whether the battery
-//! grid is executed by the worker pool or by one thread.
+//! grid is executed by the worker pool or by one thread. The day pass's
+//! threaded walks get the same guard across worker counts.
 
-use expanse_core::{Pipeline, PipelineConfig};
+use expanse_addr::fanout::splitmix64;
+use expanse_addr::{u128_to_addr, AddrId, Encoder};
+use expanse_core::{Fig8Row, Hitlist, Ledger, Pipeline, PipelineConfig};
 use expanse_model::{ModelConfig, SourceId};
+use expanse_packet::{ProtoSet, Protocol};
+use std::net::Ipv6Addr;
 
 fn pipeline_with(parallel: bool) -> Pipeline {
     // Keep the virtual day cheap; both paths get the identical config.
@@ -103,49 +108,118 @@ fn adversarial_scenario_round_trips_parallel_and_serial() {
     );
 }
 
-/// The sharded fan-out walks — snapshot encode, delta encode, the
-/// batched responsiveness pass, the ledger's per-row joins — are
-/// byte-identical across worker counts. This is the in-binary guard
-/// (serial vs N-thread within one process); the CI multi-thread lane
-/// additionally reruns the whole suite under `EXPANSE_THREADS` 1/2/8.
-#[test]
-fn parallel_walks_match_serial_bytes() {
-    let mut p = pipeline_with(true);
-    let snap = p.run_day_full().0;
-    assert!(!snap.responsive.is_empty(), "someone must answer");
+/// Rows in the synthetic day-pass hitlist: large enough that each day
+/// pass clears the 4,096-entry threshold below which
+/// `Hitlist::mark_responsive_batch` stays serial.
+const PASS_ROWS: usize = 10_000;
 
-    // Full snapshot encode: serial vs fanned-out, same envelope bytes.
-    let encode_at = |p: &mut Pipeline, threads: usize| -> Vec<u8> {
-        let mut enc = expanse_addr::Encoder::new(Vec::new(), b"FANGUARD", 1).expect("enc");
-        p.hitlist.encode_par(&mut enc, threads).expect("encode");
-        enc.finish().expect("finish")
+/// Build a deterministic synthetic hitlist whose journal sync point sits
+/// mid-table, so the dirty column covers only the first half of the
+/// rows a day pass touches. Every third pre-sync row already answered
+/// on day 5, so day-5 passes widen protocol sets of clean synced rows.
+fn day_pass_hitlist() -> Hitlist {
+    let addr = |i: usize| -> Ipv6Addr {
+        let hi = splitmix64(i as u64);
+        u128_to_addr((u128::from(0x2001_0db8_0000_0000 | (hi >> 32)) << 64) | u128::from(hi))
     };
-    let serial = encode_at(&mut p, 1);
-    for threads in [2usize, 3, 8] {
-        assert_eq!(
-            serial,
-            encode_at(&mut p, threads),
-            "snapshot encode drifted at {threads} threads"
-        );
+    let add = |h: &mut Hitlist, rows: std::ops::Range<usize>| {
+        for i in rows {
+            h.add_from(SourceId::ALL[i % SourceId::ALL.len()], &[addr(i)], 0);
+        }
+    };
+    let mut h = Hitlist::new();
+    add(&mut h, 0..PASS_ROWS / 2);
+    for i in (0..PASS_ROWS / 2).step_by(3) {
+        h.mark_responsive_id(AddrId::from_index(i), 5, ProtoSet::only(Protocol::Icmp));
     }
+    h.mark_synced();
+    add(&mut h, PASS_ROWS / 2..PASS_ROWS);
+    assert_eq!(h.len(), PASS_ROWS, "synthetic addresses must be distinct");
+    h
+}
 
-    // Delta encode after another day of mutations.
-    let mut base = Vec::new();
-    p.save_full(&mut base).expect("save_full");
-    p.run_day();
-    let delta_at = |p: &Pipeline, threads: usize| -> Vec<u8> {
-        let mut enc = expanse_addr::Encoder::new(Vec::new(), b"FANGUARD", 1).expect("enc");
-        p.hitlist
-            .encode_delta_par(&mut enc, threads)
-            .expect("delta");
+/// One day's strictly ascending `(id, protocols)` pass over roughly
+/// three quarters of the rows, with protocol sets drawn per row.
+fn day_pass(day: u16, salt: u64) -> Vec<(AddrId, ProtoSet)> {
+    (0..PASS_ROWS)
+        .filter_map(|i| {
+            let z = splitmix64(i as u64 ^ (u64::from(day) << 32) ^ salt);
+            (!z.is_multiple_of(4)).then(|| {
+                let p = |k: u64| ProtoSet::only(Protocol::ALL[(k % 5) as usize]);
+                (AddrId::from_index(i), p(z >> 8).union(p(z >> 16)))
+            })
+        })
+        .collect()
+}
+
+/// The hitlist snapshot, the hitlist's pending journal delta, and the
+/// ledger, each sealed in its own envelope.
+fn day_pass_state(h: &Hitlist, ledger: &Ledger) -> [Vec<u8>; 3] {
+    let seal = |f: &dyn Fn(&mut Encoder<Vec<u8>>)| -> Vec<u8> {
+        let mut enc = Encoder::new(Vec::new(), b"FANGUARD", 1).expect("enc");
+        f(&mut enc);
         enc.finish().expect("finish")
     };
-    let serial_delta = delta_at(&p, 1);
-    for threads in [2usize, 8] {
-        assert_eq!(
-            serial_delta,
-            delta_at(&p, threads),
-            "delta encode drifted at {threads} threads"
+    [
+        seal(&|enc| h.encode(enc).expect("encode")),
+        seal(&|enc| h.encode_delta(enc).expect("delta")),
+        seal(&|enc| ledger.encode(enc).expect("ledger")),
+    ]
+}
+
+/// The day pass's threaded branches — `Ledger::record_day_threads`'
+/// per-row joins and `Hitlist::mark_responsive_batch`'s column writes,
+/// including the dirty bits of a column shorter than the pass — give
+/// byte-identical hitlist snapshots, journal deltas, and ledgers at
+/// every worker count. Each day runs a second same-day pass, so the
+/// protocol-union path is covered as well as the day-advance path; the
+/// bytes are compared after every pass, so a later pass cannot mask a
+/// dirty bit an earlier one dropped.
+#[test]
+fn day_pass_threads_match_serial_bytes() {
+    let run = |threads: usize| -> Vec<[Vec<u8>; 3]> {
+        let mut h = day_pass_hitlist();
+        let mut ledger = Ledger::new();
+        let mut states = Vec::new();
+        for day in [5u16, 6] {
+            let pass = day_pass(day, 0);
+            assert!(pass.len() >= 4096, "pass too short for the threaded branch");
+            ledger.record_day_threads(day, &pass, &h, threads);
+            h.mark_responsive_batch(day, &pass, threads);
+            states.push(day_pass_state(&h, &ledger));
+            let again = day_pass(day, 0x5eed);
+            h.mark_responsive_batch(day, &again, threads);
+            states.push(day_pass_state(&h, &ledger));
+        }
+        let (appended, _, last_writes, _) = h.delta_size();
+        assert!(
+            appended > 0 && last_writes > 0,
+            "delta must carry both halves"
         );
+        assert!(
+            Fig8Row::all()
+                .into_iter()
+                .any(|row| ledger.baseline_len(row) > 0),
+            "some ledger row must establish a baseline"
+        );
+        states
+    };
+    let serial = run(1);
+    for threads in [2usize, 3, 8] {
+        for (k, (want, got)) in serial.iter().zip(run(threads)).enumerate() {
+            let [full, delta, ledger] = &got;
+            assert!(
+                *full == want[0],
+                "hitlist encode drifted at {threads} threads, pass {k}"
+            );
+            assert!(
+                *delta == want[1],
+                "delta encode drifted at {threads} threads, pass {k}"
+            );
+            assert!(
+                *ledger == want[2],
+                "ledger bytes drifted at {threads} threads, pass {k}"
+            );
+        }
     }
 }

@@ -9,7 +9,7 @@
 //! on the query path. Views are published through
 //! [`crate::SnapshotRegistry`] and shared as `Arc<SnapshotView>`.
 
-use expanse_addr::{AddrId, AddrSet, Prefix, ShardedAddrTable, SortedView};
+use expanse_addr::{AddrId, AddrSet, AddrTable, Prefix, SortedView};
 use expanse_apd::ApdConfig;
 use expanse_core::{
     Hitlist, JournalReplay, PersistedState, Pipeline, SchedStatus, Scheduler, SourceMask,
@@ -61,7 +61,7 @@ pub struct ViewStats {
 pub struct SnapshotView {
     /// Completed probing days (the pipeline's day counter at publish).
     day: u16,
-    table: ShardedAddrTable,
+    table: AddrTable,
     sorted: SortedView,
     sources: Vec<SourceMask>,
     last_responsive: Vec<u16>,
@@ -111,10 +111,7 @@ impl SnapshotView {
         debug_assert!(aliased.windows(2).all(|w| w[0] < w[1]));
         let cols = hitlist.columns();
         let table = cols.table.clone();
-        // The sorted permutation's keys (the raw address bits) are
-        // distinct, so the parallel sort is deterministic at every
-        // thread count.
-        let sorted = SortedView::build_par(&table, expanse_addr::worker_threads());
+        let sorted = SortedView::build(&table);
         let live = hitlist.live_set();
         let alias_trie = aliased.iter().map(|&p| (p, ())).collect();
         SnapshotView {
@@ -167,7 +164,7 @@ impl SnapshotView {
     }
 
     /// The interner backing the view's ids.
-    pub fn table(&self) -> &ShardedAddrTable {
+    pub fn table(&self) -> &AddrTable {
         &self.table
     }
 
